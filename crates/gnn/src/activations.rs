@@ -1,22 +1,36 @@
 //! Activation functions with explicit gradients.
 
-use dmbs_matrix::DenseMatrix;
+use crate::Result;
+use dmbs_matrix::{DenseMatrix, MatrixError};
 
-/// Rectified linear unit applied element-wise.
-pub fn relu(x: &DenseMatrix) -> DenseMatrix {
-    x.map(|v| if v > 0.0 { v } else { 0.0 })
+/// Rectified linear unit applied element-wise, in place.
+pub fn relu(mut x: DenseMatrix) -> DenseMatrix {
+    x.map_inplace(|v| if v > 0.0 { v } else { 0.0 });
+    x
 }
 
-/// Gradient of ReLU: passes `upstream` through where the pre-activation was
-/// positive.
+/// Gradient of ReLU, in place: passes `upstream` through where the
+/// activation is positive.  `activation` may be the pre-activation or the
+/// ReLU output: `relu(v) > 0` exactly when `v > 0`, NaN included.  Each entry
+/// becomes `1.0 * u` or `0.0 * u`, so a masked-out infinite or NaN gradient
+/// stays NaN.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if the shapes differ.
-pub fn relu_backward(pre_activation: &DenseMatrix, upstream: &DenseMatrix) -> DenseMatrix {
-    assert_eq!(pre_activation.shape(), upstream.shape(), "relu_backward shape mismatch");
-    let mask = pre_activation.map(|v| if v > 0.0 { 1.0 } else { 0.0 });
-    mask.hadamard(upstream).expect("shapes checked above")
+/// Returns [`crate::GnnError::Matrix`] if the shapes differ.
+pub fn relu_backward(activation: &DenseMatrix, mut upstream: DenseMatrix) -> Result<DenseMatrix> {
+    if activation.shape() != upstream.shape() {
+        return Err(MatrixError::DimensionMismatch {
+            op: "relu_backward",
+            lhs: activation.shape(),
+            rhs: upstream.shape(),
+        }
+        .into());
+    }
+    for (u, &a) in upstream.as_mut_slice().iter_mut().zip(activation.as_slice()) {
+        *u *= if a > 0.0 { 1.0 } else { 0.0 };
+    }
+    Ok(upstream)
 }
 
 /// Row-wise softmax with the usual max-subtraction for numerical stability.
@@ -46,14 +60,15 @@ mod tests {
     #[test]
     fn relu_clamps_negatives() {
         let x = DenseMatrix::from_rows(&[vec![-1.0, 0.0, 2.0]]).unwrap();
-        assert_eq!(relu(&x).as_slice(), &[0.0, 0.0, 2.0]);
+        assert_eq!(relu(x).as_slice(), &[0.0, 0.0, 2.0]);
     }
 
     #[test]
     fn relu_backward_masks_gradient() {
         let pre = DenseMatrix::from_rows(&[vec![-1.0, 3.0]]).unwrap();
         let up = DenseMatrix::from_rows(&[vec![5.0, 7.0]]).unwrap();
-        assert_eq!(relu_backward(&pre, &up).as_slice(), &[0.0, 7.0]);
+        assert_eq!(relu_backward(&pre, up).unwrap().as_slice(), &[0.0, 7.0]);
+        assert!(relu_backward(&pre, DenseMatrix::zeros(2, 1)).is_err());
     }
 
     #[test]

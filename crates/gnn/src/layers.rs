@@ -4,37 +4,35 @@ use crate::activations::{relu, relu_backward};
 use crate::Result;
 use dmbs_matrix::pool::Parallelism;
 use dmbs_matrix::spmm::{spmm_parallel, spmm_transpose_parallel};
-use dmbs_matrix::{CsrMatrix, DenseMatrix};
+use dmbs_matrix::{CsrMatrix, DenseMatrix, MatrixError};
 
 /// Cache of intermediate values produced by [`sage_forward`] and consumed by
-/// [`sage_backward`].
+/// [`sage_backward`] and [`sage_input_backward`].
 #[derive(Debug, Clone)]
 pub struct SageCache {
     /// Row-normalized sampled adjacency used for mean aggregation.
     pub a_norm: CsrMatrix,
-    /// Neighbor-side input embeddings (`cols × in_dim`).
-    pub h_neigh: DenseMatrix,
     /// Self-side input embeddings (`rows × in_dim`).
     pub h_self: DenseMatrix,
     /// Aggregated neighbor embeddings (`rows × in_dim`).
     pub aggregated: DenseMatrix,
-    /// Pre-activation output (`rows × out_dim`).
-    pub pre_activation: DenseMatrix,
+    /// The layer's output (`rows × out_dim`), after ReLU when it was applied.
+    /// The next layer reads it as its input.
+    pub output: DenseMatrix,
     /// Whether ReLU was applied.
     pub applied_relu: bool,
 }
 
-/// Gradients produced by [`sage_backward`].
+/// Weight gradients produced by [`sage_backward`].
 #[derive(Debug, Clone)]
 pub struct SageGrads {
     /// Gradient of the self weight matrix.
     pub d_w_self: DenseMatrix,
     /// Gradient of the neighbor weight matrix.
     pub d_w_neigh: DenseMatrix,
-    /// Gradient flowing to the neighbor-side inputs (`cols × in_dim`).
-    pub d_h_neigh: DenseMatrix,
-    /// Gradient flowing to the self-side inputs (`rows × in_dim`).
-    pub d_h_self: DenseMatrix,
+    /// Gradient of the pre-activation output (`rows × out_dim`), the input
+    /// of [`sage_input_backward`].
+    pub d_pre: DenseMatrix,
 }
 
 /// Forward pass of a mean-aggregator GraphSAGE layer:
@@ -46,6 +44,7 @@ pub struct SageGrads {
 /// where `Â` is the row-normalized sampled adjacency matrix (neighborhood
 /// mean) produced by the sampling step, `H_neigh` holds embeddings for the
 /// layer's column vertices and `H_self` embeddings for its row vertices.
+/// `H_self` moves into the returned cache, which also holds the output `Z`.
 ///
 /// The aggregation SpMM runs on `parallelism` worker threads
 /// (byte-identical to serial at any thread count).
@@ -56,64 +55,60 @@ pub struct SageGrads {
 pub fn sage_forward(
     adjacency: &CsrMatrix,
     h_neigh: &DenseMatrix,
-    h_self: &DenseMatrix,
+    h_self: DenseMatrix,
     w_self: &DenseMatrix,
     w_neigh: &DenseMatrix,
     apply_relu: bool,
     parallelism: Parallelism,
-) -> Result<(DenseMatrix, SageCache)> {
+) -> Result<SageCache> {
     let mut a_norm = adjacency.clone();
     a_norm.normalize_rows();
     let aggregated = spmm_parallel(&a_norm, h_neigh, parallelism)?;
-    let pre = h_self.matmul(w_self)?.add(&aggregated.matmul(w_neigh)?)?;
-    let out = if apply_relu { relu(&pre) } else { pre.clone() };
-    Ok((
-        out,
-        SageCache {
-            a_norm,
-            h_neigh: h_neigh.clone(),
-            h_self: h_self.clone(),
-            aggregated,
-            pre_activation: pre,
-            applied_relu: apply_relu,
-        },
-    ))
+    let mut pre = h_self.matmul(w_self)?;
+    pre.axpy(1.0, &aggregated.matmul(w_neigh)?)?;
+    let output = if apply_relu { relu(pre) } else { pre };
+    Ok(SageCache { a_norm, h_self, aggregated, output, applied_relu: apply_relu })
 }
 
-/// Backward pass of the GraphSAGE layer.  `w_self` and `w_neigh` must be the
-/// same weights used in the forward pass.  The transposed-aggregation SpMM
-/// runs on `parallelism` worker threads.
+/// Weight-gradient half of the GraphSAGE backward pass, given the gradient
+/// `upstream` of the layer's output (consumed: it becomes `d_pre`).  The
+/// gradient for the layer's inputs is [`sage_input_backward`]'s job; a model
+/// skips it where nothing reads it, as for the input features.
 ///
 /// # Errors
 ///
 /// Returns [`crate::GnnError::Matrix`] on dimension mismatches.
-pub fn sage_backward(
-    cache: &SageCache,
-    w_self: &DenseMatrix,
-    w_neigh: &DenseMatrix,
-    upstream: &DenseMatrix,
-    parallelism: Parallelism,
-) -> Result<SageGrads> {
-    let d_pre = if cache.applied_relu {
-        relu_backward(&cache.pre_activation, upstream)
-    } else {
-        upstream.clone()
-    };
-    // Weight gradients.
+pub fn sage_backward(cache: &SageCache, upstream: DenseMatrix) -> Result<SageGrads> {
+    if upstream.shape() != cache.output.shape() {
+        let (lhs, rhs) = (cache.output.shape(), upstream.shape());
+        return Err(MatrixError::DimensionMismatch { op: "sage_backward", lhs, rhs }.into());
+    }
+    let d_pre = if cache.applied_relu { relu_backward(&cache.output, upstream)? } else { upstream };
     let d_w_self = cache.h_self.transpose_matmul(&d_pre)?;
     let d_w_neigh = cache.aggregated.transpose_matmul(&d_pre)?;
-    // Input gradients.
+    Ok(SageGrads { d_w_self, d_w_neigh, d_pre })
+}
+
+/// Input-gradient half of the GraphSAGE backward pass: returns
+/// `(d_h_neigh, d_h_self)`, the gradients for the neighbor-side
+/// (`cols × in_dim`) and self-side (`rows × in_dim`) inputs.  `w_self` and
+/// `w_neigh` must be the weights used in the forward pass.  The
+/// transposed-aggregation SpMM runs on `parallelism` worker threads.
+///
+/// # Errors
+///
+/// Returns [`crate::GnnError::Matrix`] on dimension mismatches.
+pub fn sage_input_backward(
+    cache: &SageCache,
+    d_pre: &DenseMatrix,
+    w_self: &DenseMatrix,
+    w_neigh: &DenseMatrix,
+    parallelism: Parallelism,
+) -> Result<(DenseMatrix, DenseMatrix)> {
     let d_h_self = d_pre.matmul_transpose(w_self)?;
     let d_aggregated = d_pre.matmul_transpose(w_neigh)?;
     let d_h_neigh = spmm_transpose_parallel(&cache.a_norm, &d_aggregated, parallelism)?;
-    Ok(SageGrads { d_w_self, d_w_neigh, d_h_neigh, d_h_self })
-}
-
-/// Cache for the final linear classifier.
-#[derive(Debug, Clone)]
-pub struct LinearCache {
-    /// Input embeddings (`rows × in_dim`).
-    pub input: DenseMatrix,
+    Ok((d_h_neigh, d_h_self))
 }
 
 /// Forward pass of the linear classifier `logits = H · W`.
@@ -121,25 +116,22 @@ pub struct LinearCache {
 /// # Errors
 ///
 /// Returns [`crate::GnnError::Matrix`] on dimension mismatches.
-pub fn linear_forward(
-    input: &DenseMatrix,
-    weight: &DenseMatrix,
-) -> Result<(DenseMatrix, LinearCache)> {
-    let logits = input.matmul(weight)?;
-    Ok((logits, LinearCache { input: input.clone() }))
+pub fn linear_forward(input: &DenseMatrix, weight: &DenseMatrix) -> Result<DenseMatrix> {
+    Ok(input.matmul(weight)?)
 }
 
-/// Backward pass of the linear classifier: returns `(dW, dH)`.
+/// Backward pass of the linear classifier given its forward `input`:
+/// returns `(dW, dH)`.
 ///
 /// # Errors
 ///
 /// Returns [`crate::GnnError::Matrix`] on dimension mismatches.
 pub fn linear_backward(
-    cache: &LinearCache,
+    input: &DenseMatrix,
     weight: &DenseMatrix,
     upstream: &DenseMatrix,
 ) -> Result<(DenseMatrix, DenseMatrix)> {
-    let d_weight = cache.input.transpose_matmul(upstream)?;
+    let d_weight = input.transpose_matmul(upstream)?;
     let d_input = upstream.matmul_transpose(weight)?;
     Ok((d_weight, d_input))
 }
@@ -165,12 +157,12 @@ mod tests {
         let h_self = DenseMatrix::from_rows(&[vec![10.0], vec![20.0]]).unwrap();
         let w_self = DenseMatrix::identity(1);
         let w_neigh = DenseMatrix::identity(1);
-        let (out, cache) =
-            sage_forward(&a, &h_neigh, &h_self, &w_self, &w_neigh, false, Parallelism::serial())
+        let cache =
+            sage_forward(&a, &h_neigh, h_self, &w_self, &w_neigh, false, Parallelism::serial())
                 .unwrap();
         // Row 0 aggregates mean(1, 3) = 2 plus self 10 = 12; row 1: 5 + 20 = 25.
-        assert_eq!(out.get(0, 0), 12.0);
-        assert_eq!(out.get(1, 0), 25.0);
+        assert_eq!(cache.output.get(0, 0), 12.0);
+        assert_eq!(cache.output.get(1, 0), 25.0);
         assert_eq!(cache.aggregated.get(0, 0), 2.0);
     }
 
@@ -179,16 +171,17 @@ mod tests {
         let a = tiny_adjacency();
         let h_neigh = DenseMatrix::from_rows(&[vec![1.0], vec![1.0], vec![1.0]]).unwrap();
         let h_self = DenseMatrix::from_rows(&[vec![-10.0], vec![10.0]]).unwrap();
-        let (out, _) = sage_forward(
+        let out = sage_forward(
             &a,
             &h_neigh,
-            &h_self,
+            h_self,
             &DenseMatrix::identity(1),
             &DenseMatrix::identity(1),
             true,
             Parallelism::serial(),
         )
-        .unwrap();
+        .unwrap()
+        .output;
         assert_eq!(out.get(0, 0), 0.0);
         assert_eq!(out.get(1, 0), 11.0);
     }
@@ -205,14 +198,26 @@ mod tests {
 
         // Scalar objective: sum of outputs (upstream gradient of ones).
         let objective = |hn: &DenseMatrix, hs: &DenseMatrix, ws: &DenseMatrix, wn: &DenseMatrix| {
-            sage_forward(&a, hn, hs, ws, wn, true, Parallelism::serial()).unwrap().0.sum()
+            sage_forward(&a, hn, hs.clone(), ws, wn, true, Parallelism::serial())
+                .unwrap()
+                .output
+                .sum()
         };
-        let (out, cache) =
-            sage_forward(&a, &h_neigh, &h_self, &w_self, &w_neigh, true, Parallelism::serial())
+        let cache = sage_forward(
+            &a,
+            &h_neigh,
+            h_self.clone(),
+            &w_self,
+            &w_neigh,
+            true,
+            Parallelism::serial(),
+        )
+        .unwrap();
+        let upstream = DenseMatrix::filled(cache.output.rows(), cache.output.cols(), 1.0);
+        let grads = sage_backward(&cache, upstream).unwrap();
+        let (d_h_neigh, d_h_self) =
+            sage_input_backward(&cache, &grads.d_pre, &w_self, &w_neigh, Parallelism::serial())
                 .unwrap();
-        let upstream = DenseMatrix::filled(out.rows(), out.cols(), 1.0);
-        let grads =
-            sage_backward(&cache, &w_self, &w_neigh, &upstream, Parallelism::serial()).unwrap();
 
         let eps = 1e-6;
         let check = |analytic: &DenseMatrix,
@@ -249,7 +254,7 @@ mod tests {
         );
         let (hn, hs, ws, wn) = (h_neigh.clone(), h_self.clone(), w_self.clone(), w_neigh.clone());
         check(
-            &grads.d_h_neigh,
+            &d_h_neigh,
             Box::new(move |r, c, d| {
                 let mut h = hn.clone();
                 h.set(r, c, h.get(r, c) + d);
@@ -258,7 +263,7 @@ mod tests {
         );
         let (hn, hs, ws, wn) = (h_neigh, h_self, w_self, w_neigh);
         check(
-            &grads.d_h_self,
+            &d_h_self,
             Box::new(move |r, c, d| {
                 let mut h = hs.clone();
                 h.set(r, c, h.get(r, c) + d);
@@ -272,10 +277,10 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(9);
         let input = DenseMatrix::random_uniform(3, 4, 1.0, &mut rng);
         let weight = DenseMatrix::random_uniform(4, 2, 1.0, &mut rng);
-        let (logits, cache) = linear_forward(&input, &weight).unwrap();
+        let logits = linear_forward(&input, &weight).unwrap();
         assert_eq!(logits.shape(), (3, 2));
         let upstream = DenseMatrix::filled(3, 2, 1.0);
-        let (d_w, d_h) = linear_backward(&cache, &weight, &upstream).unwrap();
+        let (d_w, d_h) = linear_backward(&input, &weight, &upstream).unwrap();
         assert_eq!(d_w.shape(), weight.shape());
         assert_eq!(d_h.shape(), input.shape());
         // d/dW of sum(H W) = H^T 1.
@@ -290,10 +295,34 @@ mod tests {
         let h_self = DenseMatrix::zeros(2, 2);
         let w = DenseMatrix::identity(2);
         assert!(
-            sage_forward(&a, &bad_h_neigh, &h_self, &w, &w, true, Parallelism::serial()).is_err()
+            sage_forward(&a, &bad_h_neigh, h_self, &w, &w, true, Parallelism::serial()).is_err()
         );
         let input = DenseMatrix::zeros(2, 3);
         let weight = DenseMatrix::zeros(4, 2);
         assert!(linear_forward(&input, &weight).is_err());
+    }
+
+    #[test]
+    fn sage_backward_rejects_misshaped_upstream() {
+        let mut rng = StdRng::seed_from_u64(3);
+        let h_neigh = DenseMatrix::random_uniform(3, 2, 1.0, &mut rng);
+        let h_self = DenseMatrix::random_uniform(2, 2, 1.0, &mut rng);
+        let w = DenseMatrix::identity(2);
+        for apply_relu in [true, false] {
+            let cache = sage_forward(
+                &tiny_adjacency(),
+                &h_neigh,
+                h_self.clone(),
+                &w,
+                &w,
+                apply_relu,
+                Parallelism::serial(),
+            )
+            .unwrap();
+            for (rows, cols) in [(3, 2), (2, 3), (1, 1)] {
+                let upstream = DenseMatrix::zeros(rows, cols);
+                assert!(sage_backward(&cache, upstream).is_err(), "{rows}x{cols}, {apply_relu}");
+            }
+        }
     }
 }

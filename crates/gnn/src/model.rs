@@ -9,7 +9,7 @@
 
 use crate::error::GnnError;
 use crate::layers::{
-    linear_backward, linear_forward, sage_backward, sage_forward, LinearCache, SageCache,
+    linear_backward, linear_forward, sage_backward, sage_forward, sage_input_backward, SageCache,
 };
 use crate::loss::cross_entropy;
 use crate::Result;
@@ -42,7 +42,6 @@ pub struct ForwardCache {
     /// For each layer, the position of each row vertex inside the layer's
     /// column list (used to scatter self-gradients).
     self_positions: Vec<Vec<usize>>,
-    linear_cache: LinearCache,
 }
 
 impl SageModel {
@@ -213,10 +212,10 @@ impl SageModel {
             )));
         }
 
-        let mut h = input_features.clone();
-        let mut sage_caches = Vec::with_capacity(self.num_layers);
+        let mut sage_caches = Vec::<SageCache>::with_capacity(self.num_layers);
         let mut self_positions = Vec::with_capacity(self.num_layers);
         for (l, layer) in sample.layers.iter().enumerate() {
+            let h = sage_caches.last().map_or(input_features, |c| &c.output);
             // Index of each row vertex inside the layer's column list.
             let col_pos: HashMap<usize, usize> =
                 layer.cols.iter().enumerate().map(|(i, &v)| (v, i)).collect();
@@ -234,10 +233,10 @@ impl SageModel {
                 .collect::<Result<_>>()?;
             let h_self = h.gather_rows(&positions)?;
             let apply_relu = true; // ReLU on every SAGE layer.
-            let (out, cache) = sage_forward(
+            let cache = sage_forward(
                 &layer.adjacency,
-                &h,
-                &h_self,
+                h,
+                h_self,
                 self.w_self(l),
                 self.w_neigh(l),
                 apply_relu,
@@ -245,14 +244,14 @@ impl SageModel {
             )?;
             sage_caches.push(cache);
             self_positions.push(positions);
-            h = out;
         }
-        let (logits, linear_cache) = linear_forward(&h, self.w_out())?;
-        Ok((logits, ForwardCache { sage_caches, self_positions, linear_cache }))
+        let h = sage_caches.last().map_or(input_features, |c| &c.output);
+        let logits = linear_forward(h, self.w_out())?;
+        Ok((logits, ForwardCache { sage_caches, self_positions }))
     }
 
     /// Runs the backward pass, returning gradients in the same layout as
-    /// [`SageModel::parameters`].
+    /// [`SageModel::parameters`].  Layer 0 computes no input-feature gradient.
     ///
     /// # Errors
     ///
@@ -262,31 +261,32 @@ impl SageModel {
         cache: &ForwardCache,
         d_logits: &DenseMatrix,
     ) -> Result<Vec<DenseMatrix>> {
-        let mut grads: Vec<DenseMatrix> =
-            self.params.iter().map(|p| DenseMatrix::zeros(p.rows(), p.cols())).collect();
-        let (d_w_out, mut d_h) = linear_backward(&cache.linear_cache, self.w_out(), d_logits)?;
+        let mut grads = vec![DenseMatrix::default(); self.params.len()];
+        let h = &cache.sage_caches[self.num_layers - 1].output;
+        let (d_w_out, mut d_h) = linear_backward(h, self.w_out(), d_logits)?;
         grads[2 * self.num_layers] = d_w_out;
 
         for l in (0..self.num_layers).rev() {
-            let sage = sage_backward(
-                &cache.sage_caches[l],
-                self.w_self(l),
-                self.w_neigh(l),
-                &d_h,
-                self.parallelism,
-            )?;
-            grads[2 * l] = sage.d_w_self;
-            grads[2 * l + 1] = sage.d_w_neigh;
-            // Gradient for the previous layer's output: neighbor gradient plus
-            // the self gradient scattered to the row vertices' positions.
-            let mut d_prev = sage.d_h_neigh;
-            for (row, &pos) in cache.self_positions[l].iter().enumerate() {
-                for c in 0..d_prev.cols() {
-                    let v = d_prev.get(pos, c) + sage.d_h_self.get(row, c);
-                    d_prev.set(pos, c, v);
+            let sage = &cache.sage_caches[l];
+            let layer_grads = sage_backward(sage, std::mem::take(&mut d_h))?;
+            if l > 0 {
+                // Previous layer's output gradient: neighbor + scattered self part.
+                let (mut d_prev, d_h_self) = sage_input_backward(
+                    sage,
+                    &layer_grads.d_pre,
+                    self.w_self(l),
+                    self.w_neigh(l),
+                    self.parallelism,
+                )?;
+                for (row, &pos) in cache.self_positions[l].iter().enumerate() {
+                    for (d, s) in d_prev.row_mut(pos).iter_mut().zip(d_h_self.row(row)) {
+                        *d += s;
+                    }
                 }
+                d_h = d_prev;
             }
-            d_h = d_prev;
+            grads[2 * l] = layer_grads.d_w_self;
+            grads[2 * l + 1] = layer_grads.d_w_neigh;
         }
         Ok(grads)
     }
@@ -328,6 +328,7 @@ impl SageModel {
 mod tests {
     use super::*;
     use dmbs_graph::generators::figure1_example;
+    use dmbs_matrix::spmm::spmm_transpose_parallel;
     use dmbs_matrix::DenseMatrix;
     use dmbs_sampling::{GraphSageSampler, Sampler};
     use rand::rngs::StdRng;
@@ -408,30 +409,89 @@ mod tests {
         }
     }
 
+    /// Finite-difference check of every parameter matrix.  The 3-layer model
+    /// has a middle layer whose input gradient is still needed.
     #[test]
     fn model_gradients_match_finite_differences() {
-        let (sample, feats, labels) = sample_and_features(vec![2, 2], 7);
-        let mut rng = StdRng::seed_from_u64(11);
-        let model = SageModel::new(4, 5, 2, 2, &mut rng).unwrap();
-        let (_, _, grads) = model.loss_and_gradients(&sample, &feats, &labels).unwrap();
+        for fanouts in [vec![2, 2], vec![2, 2, 2]] {
+            let num_layers = fanouts.len();
+            let (sample, feats, labels) = sample_and_features(fanouts, 7);
+            let mut rng = StdRng::seed_from_u64(11);
+            let model = SageModel::new(4, 5, 2, num_layers, &mut rng).unwrap();
+            let (_, _, grads) = model.loss_and_gradients(&sample, &feats, &labels).unwrap();
 
-        let eps = 1e-5;
-        // Check a handful of entries in every parameter matrix.
-        for (pi, grad) in grads.iter().enumerate() {
-            for &(r, c) in &[(0usize, 0usize), (grad.rows() - 1, grad.cols() - 1)] {
-                let mut plus = model.clone();
-                let v = plus.parameters()[pi].get(r, c);
-                plus.parameters_mut()[pi].set(r, c, v + eps);
-                let (lp, _, _) = plus.loss_and_gradients(&sample, &feats, &labels).unwrap();
-                let mut minus = model.clone();
-                minus.parameters_mut()[pi].set(r, c, v - eps);
-                let (lm, _, _) = minus.loss_and_gradients(&sample, &feats, &labels).unwrap();
-                let numeric = (lp - lm) / (2.0 * eps);
-                assert!(
-                    (numeric - grad.get(r, c)).abs() < 1e-4,
-                    "param {pi} entry ({r},{c}): numeric {numeric} vs analytic {}",
-                    grad.get(r, c)
-                );
+            let eps = 1e-5;
+            // Check a handful of entries in every parameter matrix.
+            for (pi, grad) in grads.iter().enumerate() {
+                for &(r, c) in &[(0usize, 0usize), (grad.rows() - 1, grad.cols() - 1)] {
+                    let mut plus = model.clone();
+                    let v = plus.parameters()[pi].get(r, c);
+                    plus.parameters_mut()[pi].set(r, c, v + eps);
+                    let (lp, _, _) = plus.loss_and_gradients(&sample, &feats, &labels).unwrap();
+                    let mut minus = model.clone();
+                    minus.parameters_mut()[pi].set(r, c, v - eps);
+                    let (lm, _, _) = minus.loss_and_gradients(&sample, &feats, &labels).unwrap();
+                    let numeric = (lp - lm) / (2.0 * eps);
+                    assert!(
+                        (numeric - grad.get(r, c)).abs() < 1e-4,
+                        "{num_layers} layers, param {pi} entry ({r},{c}): \
+                         numeric {numeric} vs analytic {}",
+                        grad.get(r, c)
+                    );
+                }
+            }
+        }
+    }
+
+    /// The full backward pass, input gradients included at every layer,
+    /// written out from the dense and sparse kernels: the reference that
+    /// [`SageModel::backward`]'s weight gradients must match bit for bit.
+    fn reference_backward(
+        model: &SageModel,
+        cache: &ForwardCache,
+        d_logits: &DenseMatrix,
+    ) -> Vec<DenseMatrix> {
+        let layers = model.num_layers();
+        let mut grads = vec![DenseMatrix::default(); model.parameters().len()];
+        let top = &cache.sage_caches[layers - 1].output;
+        grads[2 * layers] = top.transpose_matmul(d_logits).unwrap();
+        let mut d_h = d_logits.matmul_transpose(model.w_out()).unwrap();
+        for l in (0..layers).rev() {
+            let sage = &cache.sage_caches[l];
+            let mask = sage.output.map(|v| if v > 0.0 { 1.0 } else { 0.0 });
+            let d_pre = mask.hadamard(&d_h).unwrap();
+            grads[2 * l] = sage.h_self.transpose_matmul(&d_pre).unwrap();
+            grads[2 * l + 1] = sage.aggregated.transpose_matmul(&d_pre).unwrap();
+            let d_h_self = d_pre.matmul_transpose(model.w_self(l)).unwrap();
+            let d_aggregated = d_pre.matmul_transpose(model.w_neigh(l)).unwrap();
+            let mut d_prev =
+                spmm_transpose_parallel(&sage.a_norm, &d_aggregated, model.parallelism()).unwrap();
+            for (row, &pos) in cache.self_positions[l].iter().enumerate() {
+                for c in 0..d_prev.cols() {
+                    let v = d_prev.get(pos, c) + d_h_self.get(row, c);
+                    d_prev.set(pos, c, v);
+                }
+            }
+            d_h = d_prev;
+        }
+        grads
+    }
+
+    #[test]
+    fn weight_gradients_are_bit_identical_to_full_backward() {
+        let bits = |grads: &[DenseMatrix]| -> Vec<Vec<u64>> {
+            grads.iter().map(|g| g.as_slice().iter().map(|v| v.to_bits()).collect()).collect()
+        };
+        for num_layers in 1..=3 {
+            for seed in 0..6 {
+                let (sample, feats, labels) = sample_and_features(vec![3; num_layers], seed);
+                let mut rng = StdRng::seed_from_u64(100 + seed);
+                let model = SageModel::new(4, 6, 3, num_layers, &mut rng).unwrap();
+                let (logits, cache) = model.forward(&sample, &feats).unwrap();
+                let (_, d_logits) = cross_entropy(&logits, &labels).unwrap();
+                let grads = model.backward(&cache, &d_logits).unwrap();
+                let reference = reference_backward(&model, &cache, &d_logits);
+                assert_eq!(bits(&grads), bits(&reference), "{num_layers} layers, seed {seed}");
             }
         }
     }

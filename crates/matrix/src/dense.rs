@@ -234,6 +234,13 @@ impl DenseMatrix {
 
     /// Matrix product `self * rhs^T`.
     ///
+    /// Each output element is the dot product of a row of `self` and a row
+    /// of `rhs`, summed from `0.0` in ascending `k` without fused
+    /// multiply-add, so the result is bit-identical to the naive dot loop.
+    /// The kernel computes 4×4 output tiles with 16 independent
+    /// accumulators; an edge tile repeats its last row or column and
+    /// stores only the valid part.
+    ///
     /// # Errors
     ///
     /// Returns [`MatrixError::DimensionMismatch`] if `self.cols() != rhs.cols()`.
@@ -245,16 +252,31 @@ impl DenseMatrix {
                 rhs: rhs.shape(),
             });
         }
-        let mut out = DenseMatrix::zeros(self.rows, rhs.rows);
-        for i in 0..self.rows {
-            let arow = &self.data[i * self.cols..(i + 1) * self.cols];
-            for j in 0..rhs.rows {
-                let brow = &rhs.data[j * rhs.cols..(j + 1) * rhs.cols];
-                let mut acc = 0.0;
-                for (a, b) in arow.iter().zip(brow.iter()) {
-                    acc += a * b;
+        const T: usize = 4;
+        fn tile_rows(mat: &DenseMatrix, start: usize) -> [&[f64]; T] {
+            std::array::from_fn(|t| mat.row((start + t).min(mat.rows - 1)))
+        }
+        let (n, m) = (self.cols, rhs.rows);
+        let mut out = DenseMatrix::zeros(self.rows, m);
+        for i in (0..self.rows).step_by(T) {
+            let a = tile_rows(self, i);
+            for j in (0..m).step_by(T) {
+                let b = tile_rows(rhs, j);
+                let mut acc = [[0.0f64; T]; T];
+                for k in 0..n {
+                    let bk = b.map(|row| row[k]);
+                    for (acc_row, a_row) in acc.iter_mut().zip(&a) {
+                        let av = a_row[k];
+                        for (c, &bv) in acc_row.iter_mut().zip(&bk) {
+                            *c += av * bv;
+                        }
+                    }
                 }
-                out.data[i * rhs.rows + j] = acc;
+                for (r, acc_row) in acc.iter().enumerate().take(self.rows - i) {
+                    let cols = T.min(m - j);
+                    let o = (i + r) * m + j;
+                    out.data[o..o + cols].copy_from_slice(&acc_row[..cols]);
+                }
             }
         }
         Ok(out)
@@ -499,6 +521,7 @@ impl Default for DenseMatrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -559,6 +582,51 @@ mod tests {
         let direct = a.matmul(&b.transpose()).unwrap();
         let fused = a.matmul_transpose(&b).unwrap();
         assert!(direct.approx_eq(&fused, 1e-12));
+    }
+
+    /// The naive dot loop the tiled kernel must reproduce bit for bit.
+    fn matmul_transpose_oracle(a: &DenseMatrix, b: &DenseMatrix) -> DenseMatrix {
+        let mut out = DenseMatrix::zeros(a.rows, b.rows);
+        for i in 0..a.rows {
+            for j in 0..b.rows {
+                let mut acc = 0.0;
+                for (x, y) in a.row(i).iter().zip(b.row(j)) {
+                    acc += x * y;
+                }
+                out.data[i * b.rows + j] = acc;
+            }
+        }
+        out
+    }
+
+    /// Maps a `(selector, value)` draw to an entry that is ±0.0, ±inf or NaN
+    /// about a sixth of the time.
+    fn special_entry((selector, v): (usize, f64)) -> f64 {
+        [0.0, -0.0, f64::INFINITY, f64::NEG_INFINITY, f64::NAN].get(selector).copied().unwrap_or(v)
+    }
+
+    proptest! {
+        #[test]
+        fn prop_matmul_transpose_tiled_is_byte_identical(
+            (rows, inner, cols) in (0usize..11, 0usize..10, 0usize..11),
+            a_vals in collection::vec((0usize..30, -2.0f64..2.0), 10 * 9),
+            b_vals in collection::vec((0usize..30, -2.0f64..2.0), 10 * 9),
+        ) {
+            let a_vals = a_vals.into_iter().take(rows * inner).map(special_entry).collect();
+            let b_vals = b_vals.into_iter().take(cols * inner).map(special_entry).collect();
+            let a = DenseMatrix::from_vec(rows, inner, a_vals).unwrap();
+            let b = DenseMatrix::from_vec(cols, inner, b_vals).unwrap();
+            // Rust leaves the sign and payload of a NaN result unspecified
+            // (the optimizer may swap the operands of an add), so every NaN
+            // compares as one canonical NaN; all other bits must match.
+            let canonical = |v: f64| if v.is_nan() { f64::NAN } else { v };
+            let bits = |m: &DenseMatrix| -> Vec<u64> {
+                m.data.iter().map(|&v| canonical(v).to_bits()).collect()
+            };
+            let tiled = a.matmul_transpose(&b).unwrap();
+            prop_assert_eq!(tiled.shape(), (rows, cols));
+            prop_assert_eq!(bits(&tiled), bits(&matmul_transpose_oracle(&a, &b)));
+        }
     }
 
     #[test]
