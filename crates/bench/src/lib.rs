@@ -13,6 +13,7 @@
 //! minutes.
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 #![warn(missing_debug_implementations)]
 
 use dmbs_gnn::trainer::SamplerChoice;

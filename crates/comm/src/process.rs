@@ -350,6 +350,10 @@ fn run_socket_workers_in(
     // Collect one report per rank, watching for child deaths the whole time.
     let deadline = Instant::now() + timeout;
     let mut reports: Vec<Option<WorkerReport>> = (0..size).map(|_| None).collect();
+    // Ranks seen exited without a report.  A rank connects and writes its
+    // report before it exits, so the report may still sit in the accept
+    // queue: it is dead only if one more accept after its exit finds none.
+    let mut exited = vec![false; size];
     let mut collected = 0;
     while collected < size {
         match listener.accept() {
@@ -384,6 +388,9 @@ fn run_socket_workers_in(
                         continue;
                     }
                     if let Ok(Some(status)) = child.try_wait() {
+                        if !std::mem::replace(&mut exited[*rank], true) {
+                            continue;
+                        }
                         let detail = drain_stderr(child);
                         dead = Some((
                             *rank,

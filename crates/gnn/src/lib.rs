@@ -25,6 +25,7 @@
 //!   produce the per-phase epoch breakdowns reported in Figures 4 and 6.
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 #![warn(missing_debug_implementations)]
 
 pub mod activations;

@@ -2043,6 +2043,43 @@ mod tests {
     }
 
     #[test]
+    fn local_training_loss_bits_are_pinned() {
+        // Every other loss-bit test compares two runs of the current code;
+        // this one compares against constants, so a kernel change that moved
+        // the bits of every run alike still fails here.  The widths (f = 37,
+        // hidden 27, 5 classes) are not multiples of 4, 8 or 16, so the dense
+        // kernels hit both full tiles and ragged edges.  The constants were
+        // captured with the per-k axpy kernels the tiled GEMM replaced.
+        let mut cfg = DatasetConfig::products_like(8);
+        cfg.feature_dim = 37;
+        cfg.num_classes = 5;
+        cfg.train_fraction = 0.5;
+        let dataset = build_dataset(&cfg, &mut StdRng::seed_from_u64(13)).unwrap();
+        let (report, snapshot) = TrainingSession::<GraphSageSampler, LocalBackend>::builder()
+            .dataset(dataset)
+            .sampler(GraphSageSampler::new(vec![6, 4]).with_self_loops())
+            .backend(LocalBackend::new(BulkSamplerConfig::new(40, 2)).unwrap())
+            .hidden_dim(27)
+            .learning_rate(0.05)
+            .epochs(2)
+            .seed(17)
+            .without_evaluation()
+            .build()
+            .unwrap()
+            .train_and_export()
+            .unwrap();
+        let bits: Vec<u64> = report.epochs.iter().map(|e| e.mean_loss.to_bits()).collect();
+        // The mean loss absorbs last-bit changes in the logits, so the
+        // trained parameters are pinned too, as an FNV-1a hash of their bits.
+        let params = snapshot.model().parameters().iter().flat_map(|p| p.as_slice());
+        let hash = params.fold(0xcbf2_9ce4_8422_2325u64, |h, v| {
+            (h ^ v.to_bits()).wrapping_mul(0x0000_0100_0000_01b3)
+        });
+        assert_eq!(bits, [0x3ff7_743a_5416_d82c, 0x3ff0_8d2e_81b6_082e]);
+        assert_eq!(hash, 0xb57e_ff66_998e_5859);
+    }
+
+    #[test]
     fn distributed_pinned_cache_books_balance_exactly() {
         // Sampling and gradient traffic are identical cache-on vs cache-off,
         // so the words the pinned pipeline kept off the wire must equal the

@@ -632,6 +632,20 @@ mod tests {
     }
 
     #[test]
+    fn rank_epochs_with_an_overflowing_param_shape_is_an_error() {
+        // A 2^32 × 2^32 parameter (on 64-bit) with no data: the shape
+        // product wraps to 0, which must not pass for the empty buffer.
+        let half = 1usize << (usize::BITS / 2);
+        let mut bytes = Vec::new();
+        put_usize(&mut bytes, 0); // epochs
+        put_usize(&mut bytes, 1); // params
+        put_usize(&mut bytes, half);
+        put_usize(&mut bytes, half);
+        put_f64s(&mut bytes, &[]);
+        assert!(decode_rank_epochs(&bytes).is_err());
+    }
+
+    #[test]
     fn registry_contains_the_train_worker() {
         let registry = registry();
         assert!(registry.find(TRAIN_WORKER).is_some());

@@ -4,6 +4,21 @@
 //! and gradients.  Only the kernels needed there are implemented: GEMM,
 //! transpose, element-wise maps, row reductions, row gather/scatter and a few
 //! utility constructors.
+//!
+//! # GEMM
+//!
+//! [`DenseMatrix::matmul`], [`DenseMatrix::transpose_matmul`] and
+//! [`DenseMatrix::matmul_transpose`] share one register-tiled kernel body,
+//! written as plain Rust and compiled three times: for AVX-512F (4×16
+//! output tiles), AVX2 (4×8) and the target's baseline (4×4).  One dispatch
+//! function picks the widest tier the CPU supports at run time; targets
+//! other than x86_64 always run the baseline build.
+//!
+//! Every output element is `Σₖ a·b` summed from `+0.0` in ascending `k`,
+//! with no fused multiply-add, so all tiers give the naive triple loop's
+//! bits.  The accumulator is never `-0.0`, so on finite operands a `±0`
+//! product leaves it unchanged.  Zero entries are not skipped: a non-finite
+//! operand surfaces, and `0 · ∞` contributes NaN.
 
 use crate::error::MatrixError;
 use crate::Result;
@@ -79,9 +94,11 @@ impl DenseMatrix {
     ///
     /// # Errors
     ///
-    /// Returns [`MatrixError::InvalidStructure`] if `data.len() != rows * cols`.
+    /// Returns [`MatrixError::InvalidStructure`] if `data.len() != rows * cols`,
+    /// including when `rows * cols` overflows `usize` (shapes read from
+    /// untrusted bytes).
     pub fn from_vec(rows: usize, cols: usize, data: Vec<f64>) -> Result<Self> {
-        if data.len() != rows * cols {
+        if rows.checked_mul(cols) != Some(data.len()) {
             return Err(MatrixError::InvalidStructure(format!(
                 "buffer length {} does not match {rows}x{cols}",
                 data.len()
@@ -173,6 +190,11 @@ impl DenseMatrix {
 
     /// Matrix product `self * rhs`.
     ///
+    /// Every output element is `Σₖ self[i][k] · rhs[k][j]`, summed from
+    /// `+0.0` in ascending `k` with no fused multiply-add, so the result is
+    /// bit-identical to the naive triple loop on every kernel tier.  A
+    /// non-finite operand surfaces: `0 · ∞` contributes NaN.
+    ///
     /// # Errors
     ///
     /// Returns [`MatrixError::DimensionMismatch`] if `self.cols() != rhs.rows()`.
@@ -184,25 +206,13 @@ impl DenseMatrix {
                 rhs: rhs.shape(),
             });
         }
-        let mut out = DenseMatrix::zeros(self.rows, rhs.cols);
-        // i-k-j loop order for cache friendliness on row-major data.
-        for i in 0..self.rows {
-            for k in 0..self.cols {
-                let aik = self.data[i * self.cols + k];
-                if aik == 0.0 {
-                    continue;
-                }
-                let rrow = &rhs.data[k * rhs.cols..(k + 1) * rhs.cols];
-                let orow = &mut out.data[i * rhs.cols..(i + 1) * rhs.cols];
-                for (o, r) in orow.iter_mut().zip(rrow.iter()) {
-                    *o += aik * r;
-                }
-            }
-        }
-        Ok(out)
+        Ok(gemm(WIDEST, self, false, rhs))
     }
 
     /// Matrix product `self^T * rhs`.
+    ///
+    /// Same summation contract as [`matmul`](Self::matmul), read through
+    /// the transposed left operand without materializing it.
     ///
     /// # Errors
     ///
@@ -215,31 +225,15 @@ impl DenseMatrix {
                 rhs: rhs.shape(),
             });
         }
-        let mut out = DenseMatrix::zeros(self.cols, rhs.cols);
-        for k in 0..self.rows {
-            for i in 0..self.cols {
-                let aki = self.data[k * self.cols + i];
-                if aki == 0.0 {
-                    continue;
-                }
-                let rrow = &rhs.data[k * rhs.cols..(k + 1) * rhs.cols];
-                let orow = &mut out.data[i * rhs.cols..(i + 1) * rhs.cols];
-                for (o, r) in orow.iter_mut().zip(rrow.iter()) {
-                    *o += aki * r;
-                }
-            }
-        }
-        Ok(out)
+        Ok(gemm(WIDEST, self, true, rhs))
     }
 
     /// Matrix product `self * rhs^T`.
     ///
-    /// Each output element is the dot product of a row of `self` and a row
-    /// of `rhs`, summed from `0.0` in ascending `k` without fused
-    /// multiply-add, so the result is bit-identical to the naive dot loop.
-    /// The kernel computes 4×4 output tiles with 16 independent
-    /// accumulators; an edge tile repeats its last row or column and
-    /// stores only the valid part.
+    /// Computed as [`matmul`](Self::matmul) on a transposed copy of `rhs`
+    /// (in training, always a small weight matrix), so it has the same
+    /// summation contract: each element is the dot product of a row of
+    /// `self` and a row of `rhs`, summed from `+0.0` in ascending `k`.
     ///
     /// # Errors
     ///
@@ -252,34 +246,7 @@ impl DenseMatrix {
                 rhs: rhs.shape(),
             });
         }
-        const T: usize = 4;
-        fn tile_rows(mat: &DenseMatrix, start: usize) -> [&[f64]; T] {
-            std::array::from_fn(|t| mat.row((start + t).min(mat.rows - 1)))
-        }
-        let (n, m) = (self.cols, rhs.rows);
-        let mut out = DenseMatrix::zeros(self.rows, m);
-        for i in (0..self.rows).step_by(T) {
-            let a = tile_rows(self, i);
-            for j in (0..m).step_by(T) {
-                let b = tile_rows(rhs, j);
-                let mut acc = [[0.0f64; T]; T];
-                for k in 0..n {
-                    let bk = b.map(|row| row[k]);
-                    for (acc_row, a_row) in acc.iter_mut().zip(&a) {
-                        let av = a_row[k];
-                        for (c, &bv) in acc_row.iter_mut().zip(&bk) {
-                            *c += av * bv;
-                        }
-                    }
-                }
-                for (r, acc_row) in acc.iter().enumerate().take(self.rows - i) {
-                    let cols = T.min(m - j);
-                    let o = (i + r) * m + j;
-                    out.data[o..o + cols].copy_from_slice(&acc_row[..cols]);
-                }
-            }
-        }
-        Ok(out)
+        Ok(gemm(WIDEST, self, false, &rhs.transpose()))
     }
 
     /// Returns the transpose of the matrix.
@@ -512,6 +479,149 @@ impl DenseMatrix {
     }
 }
 
+/// Instruction-set tiers the GEMM kernel is compiled for, narrowest first.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Tier {
+    /// The target's baseline instruction set, 4×4 tiles.  Only the tier
+    /// tests ask for it by name; otherwise it is the fallback.
+    #[cfg_attr(not(test), allow(dead_code))]
+    Portable,
+    /// AVX2, 4×8 tiles.
+    Avx2,
+    /// AVX-512F, 4×16 tiles.
+    Avx512,
+}
+
+/// The tier the public products ask for; [`gemm`] falls back from it to the
+/// widest one the CPU supports.
+const WIDEST: Tier = Tier::Avx512;
+
+/// Rows of a register tile.
+const TR: usize = 4;
+
+/// Depth of one `k` block: a block of the right operand (`KB × n`) stays in
+/// cache while every row tile of the output streams over it.
+const KB: usize = 256;
+
+/// `op(a) · b`, where `op` transposes when `transpose_a` is set, on the
+/// widest tier up to `widest` that this CPU supports.  Shapes are checked
+/// by the caller.  This is the only place a tier is chosen and the only
+/// `unsafe` in the workspace.
+#[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
+fn gemm(widest: Tier, a: &DenseMatrix, transpose_a: bool, b: &DenseMatrix) -> DenseMatrix {
+    let m = if transpose_a { a.cols } else { a.rows };
+    let mut out = DenseMatrix::zeros(m, b.cols);
+    #[cfg(target_arch = "x86_64")]
+    {
+        if widest >= Tier::Avx512 && is_x86_feature_detected!("avx512f") {
+            // SAFETY: `gemm_avx512` needs only AVX-512F, which
+            // `is_x86_feature_detected!("avx512f")` just found on this CPU.
+            unsafe { gemm_avx512(a, transpose_a, b, &mut out) };
+            return out;
+        }
+        if widest >= Tier::Avx2 && is_x86_feature_detected!("avx2") {
+            // SAFETY: `gemm_avx2` needs only AVX2, which
+            // `is_x86_feature_detected!("avx2")` just found on this CPU.
+            unsafe { gemm_avx2(a, transpose_a, b, &mut out) };
+            return out;
+        }
+    }
+    gemm_tiled::<4>(a, transpose_a, b, &mut out);
+    out
+}
+
+/// [`gemm_tiled`] built for AVX-512F; callable only once [`gemm`] has
+/// detected AVX-512F on this CPU.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn gemm_avx512(a: &DenseMatrix, transpose_a: bool, b: &DenseMatrix, out: &mut DenseMatrix) {
+    gemm_tiled::<16>(a, transpose_a, b, out);
+}
+
+/// [`gemm_tiled`] built for AVX2; callable only once [`gemm`] has detected
+/// AVX2 on this CPU.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn gemm_avx2(a: &DenseMatrix, transpose_a: bool, b: &DenseMatrix, out: &mut DenseMatrix) {
+    gemm_tiled::<8>(a, transpose_a, b, out);
+}
+
+/// `acc += a · b` on one accumulator row of a register tile.
+#[inline(always)]
+fn axpy_row<const TC: usize>(acc: &mut [f64; TC], a: f64, b: &[f64; TC]) {
+    for (c, &bv) in acc.iter_mut().zip(b) {
+        *c += a * bv;
+    }
+}
+
+/// The one GEMM body, `out += op(a) · b`, inlined into each tier so it is
+/// compiled for that tier's vector width.
+///
+/// `op(a)` is read through strides, so `a` is never transposed in memory.
+/// For each `k` block, each `TR`-row tile of `op(a)` is packed (the last
+/// tile repeats its last row), then every `TR × TC` output tile accumulates
+/// over the block in registers and is stored back.  A ragged last column
+/// tile reads a zero-padded copy of its strip of `b`.  Padded rows and
+/// columns are computed and dropped.  Each element is therefore summed
+/// from `+0.0` in ascending `k`, and Rust never contracts `*` and `+` into
+/// an FMA.  The accumulator rows are four named arrays, each updated by
+/// [`axpy_row`]: the shape the optimizer keeps in registers.
+#[inline(always)]
+fn gemm_tiled<const TC: usize>(
+    a: &DenseMatrix,
+    transpose_a: bool,
+    b: &DenseMatrix,
+    out: &mut DenseMatrix,
+) {
+    let (m, k, a_rs, a_cs) =
+        if transpose_a { (a.cols, a.rows, 1, a.cols) } else { (a.rows, a.cols, a.cols, 1) };
+    let n = b.cols;
+    if m == 0 || n == 0 {
+        return;
+    }
+    let full = n - n % TC;
+    let mut a_pack = [[0.0f64; TR]; KB];
+    let mut b_edge = vec![0.0f64; if full < n { KB * TC } else { 0 }];
+    for k0 in (0..k).step_by(KB) {
+        let kb = KB.min(k - k0);
+        let b_block = &b.data[k0 * n..(k0 + kb) * n];
+        for (dst, src) in b_edge.chunks_exact_mut(TC).zip(b_block.chunks_exact(n)) {
+            dst[..n - full].copy_from_slice(&src[full..]);
+        }
+        for i in (0..m).step_by(TR) {
+            for (p, packed) in a_pack[..kb].iter_mut().enumerate() {
+                *packed =
+                    std::array::from_fn(|r| a.data[(i + r).min(m - 1) * a_rs + (k0 + p) * a_cs]);
+            }
+            let rows = TR.min(m - i);
+            for j in (0..n).step_by(TC) {
+                let cols = TC.min(n - j);
+                let (b_src, b_rs, b_j) =
+                    if j < full { (b_block, n, j) } else { (&b_edge[..], TC, 0) };
+                let mut acc = [[0.0f64; TC]; TR];
+                for (r, acc_row) in acc.iter_mut().enumerate().take(rows) {
+                    let o = (i + r) * n + j;
+                    acc_row[..cols].copy_from_slice(&out.data[o..o + cols]);
+                }
+                let [mut c0, mut c1, mut c2, mut c3] = acc;
+                for (&[a0, a1, a2, a3], b_row) in a_pack[..kb].iter().zip(b_src.chunks_exact(b_rs))
+                {
+                    let b_p: &[f64; TC] =
+                        b_row[b_j..b_j + TC].try_into().expect("a tile lies inside its row");
+                    axpy_row(&mut c0, a0, b_p);
+                    axpy_row(&mut c1, a1, b_p);
+                    axpy_row(&mut c2, a2, b_p);
+                    axpy_row(&mut c3, a3, b_p);
+                }
+                for (r, acc_row) in [c0, c1, c2, c3].iter().enumerate().take(rows) {
+                    let o = (i + r) * n + j;
+                    out.data[o..o + cols].copy_from_slice(&acc_row[..cols]);
+                }
+            }
+        }
+    }
+}
+
 impl Default for DenseMatrix {
     fn default() -> Self {
         DenseMatrix::zeros(0, 0)
@@ -523,7 +633,7 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     fn sample() -> DenseMatrix {
         DenseMatrix::from_rows(&[vec![1.0, 2.0, 3.0], vec![4.0, 5.0, 6.0]]).unwrap()
@@ -584,7 +694,8 @@ mod tests {
         assert!(direct.approx_eq(&fused, 1e-12));
     }
 
-    /// The naive dot loop the tiled kernel must reproduce bit for bit.
+    /// The naive dot loop: `out[i][j] = Σₖ a[i][k] · b[j][k]`, summed from
+    /// `0.0` in ascending `k`.  Every product must reproduce it bit for bit.
     fn matmul_transpose_oracle(a: &DenseMatrix, b: &DenseMatrix) -> DenseMatrix {
         let mut out = DenseMatrix::zeros(a.rows, b.rows);
         for i in 0..a.rows {
@@ -599,34 +710,107 @@ mod tests {
         out
     }
 
+    /// The portable build plus every SIMD tier this CPU supports.
+    fn host_tiers() -> Vec<Tier> {
+        let mut tiers = vec![Tier::Portable];
+        #[cfg(target_arch = "x86_64")]
+        {
+            if is_x86_feature_detected!("avx2") {
+                tiers.push(Tier::Avx2);
+            }
+            if is_x86_feature_detected!("avx512f") {
+                tiers.push(Tier::Avx512);
+            }
+        }
+        tiers
+    }
+
+    /// Entry bits with every NaN mapped to one canonical NaN: Rust leaves
+    /// the sign and payload of a NaN result unspecified (the optimizer may
+    /// swap the operands of an add); all other bits must match.
+    fn bits(m: &DenseMatrix) -> Vec<u64> {
+        let canonical = |v: f64| if v.is_nan() { f64::NAN } else { v };
+        m.data.iter().map(|&v| canonical(v).to_bits()).collect()
+    }
+
+    /// Asserts that all three products compute `a · b` (`a` is `m × k`, `b`
+    /// is `k × n`) bit for bit like the oracle: the kernel on every host
+    /// tier for `matmul` and `transpose_matmul`, and all three public
+    /// methods (`matmul_transpose` is `matmul` on a transposed copy).
+    fn assert_products_match_oracle(a: &DenseMatrix, b: &DenseMatrix) {
+        let (at, bt) = (a.transpose(), b.transpose());
+        let want = bits(&matmul_transpose_oracle(a, &bt));
+        let case = format!("{:?} · {:?}", a.shape(), b.shape());
+        for tier in host_tiers() {
+            assert_eq!(bits(&gemm(tier, a, false, b)), want, "matmul on {tier:?}, {case}");
+            assert_eq!(
+                bits(&gemm(tier, &at, true, b)),
+                want,
+                "transpose_matmul on {tier:?}, {case}"
+            );
+        }
+        assert_eq!(bits(&a.matmul(b).unwrap()), want, "matmul, {case}");
+        assert_eq!(bits(&at.transpose_matmul(b).unwrap()), want, "transpose_matmul, {case}");
+        assert_eq!(bits(&a.matmul_transpose(&bt).unwrap()), want, "matmul_transpose, {case}");
+    }
+
     /// Maps a `(selector, value)` draw to an entry that is ±0.0, ±inf or NaN
     /// about a sixth of the time.
     fn special_entry((selector, v): (usize, f64)) -> f64 {
         [0.0, -0.0, f64::INFINITY, f64::NEG_INFINITY, f64::NAN].get(selector).copied().unwrap_or(v)
     }
 
+    /// Widest tile of any tier, in columns.
+    const MAX_TC: usize = 16;
+
+    #[test]
+    fn products_match_oracle_on_every_edge_shape() {
+        // Rows and columns 0..=2·16+3 give every tier full tiles plus every
+        // ragged row and column edge; one shape's depth crosses a k block.
+        let mut rng = StdRng::seed_from_u64(11);
+        let mut entries = |len: usize| -> Vec<f64> {
+            (0..len)
+                .map(|_| special_entry((rng.gen_range(0..30), rng.gen_range(-2.0..2.0))))
+                .collect()
+        };
+        let mut shapes: Vec<_> = (0..=2 * MAX_TC + 3)
+            .flat_map(|m| (0..=2 * MAX_TC + 3).map(move |n| (m, 3, n)))
+            .collect();
+        shapes.push((2 * MAX_TC + 3, KB + 5, 2 * MAX_TC + 3));
+        for (m, k, n) in shapes {
+            let a = DenseMatrix::from_vec(m, k, entries(m * k)).unwrap();
+            let b = DenseMatrix::from_vec(k, n, entries(k * n)).unwrap();
+            assert_products_match_oracle(&a, &b);
+        }
+    }
+
     proptest! {
         #[test]
-        fn prop_matmul_transpose_tiled_is_byte_identical(
-            (rows, inner, cols) in (0usize..11, 0usize..10, 0usize..11),
-            a_vals in collection::vec((0usize..30, -2.0f64..2.0), 10 * 9),
-            b_vals in collection::vec((0usize..30, -2.0f64..2.0), 10 * 9),
+        fn prop_products_match_oracle_on_every_tier(
+            (m, n) in (0usize..2 * MAX_TC + 4, 0usize..2 * MAX_TC + 4),
+            (deep, k) in (0usize..4, 0usize..12),
+            a_vals in collection::vec((0usize..30, -2.0f64..2.0), (2 * MAX_TC + 3) * (KB + 8)),
+            b_vals in collection::vec((0usize..30, -2.0f64..2.0), (2 * MAX_TC + 3) * (KB + 8)),
         ) {
-            let a_vals = a_vals.into_iter().take(rows * inner).map(special_entry).collect();
-            let b_vals = b_vals.into_iter().take(cols * inner).map(special_entry).collect();
-            let a = DenseMatrix::from_vec(rows, inner, a_vals).unwrap();
-            let b = DenseMatrix::from_vec(cols, inner, b_vals).unwrap();
-            // Rust leaves the sign and payload of a NaN result unspecified
-            // (the optimizer may swap the operands of an add), so every NaN
-            // compares as one canonical NaN; all other bits must match.
-            let canonical = |v: f64| if v.is_nan() { f64::NAN } else { v };
-            let bits = |m: &DenseMatrix| -> Vec<u64> {
-                m.data.iter().map(|&v| canonical(v).to_bits()).collect()
-            };
-            let tiled = a.matmul_transpose(&b).unwrap();
-            prop_assert_eq!(tiled.shape(), (rows, cols));
-            prop_assert_eq!(bits(&tiled), bits(&matmul_transpose_oracle(&a, &b)));
+            // A quarter of the cases run a depth across the first k block.
+            let k = if deep == 0 { KB - 3 + k } else { k };
+            let a_vals = a_vals.into_iter().take(m * k).map(special_entry).collect();
+            let b_vals = b_vals.into_iter().take(k * n).map(special_entry).collect();
+            let a = DenseMatrix::from_vec(m, k, a_vals).unwrap();
+            let b = DenseMatrix::from_vec(k, n, b_vals).unwrap();
+            assert_products_match_oracle(&a, &b);
         }
+    }
+
+    #[test]
+    fn zero_times_infinity_surfaces_as_nan() {
+        // A zero left entry does not skip its product: `0 · ∞` is NaN, as
+        // in the oracle, in all three products.
+        let a = DenseMatrix::from_rows(&[vec![0.0, 1.0]]).unwrap();
+        let b = DenseMatrix::from_rows(&[vec![f64::INFINITY], vec![2.0]]).unwrap();
+        assert!(a.matmul(&b).unwrap().get(0, 0).is_nan());
+        assert!(a.transpose().transpose_matmul(&b).unwrap().get(0, 0).is_nan());
+        assert!(a.matmul_transpose(&b.transpose()).unwrap().get(0, 0).is_nan());
     }
 
     #[test]
@@ -696,6 +880,16 @@ mod tests {
     fn from_vec_validates_length() {
         assert!(DenseMatrix::from_vec(2, 2, vec![1.0, 2.0, 3.0]).is_err());
         assert!(DenseMatrix::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]).is_ok());
+    }
+
+    #[test]
+    fn from_vec_rejects_an_overflowing_shape() {
+        // 2^32 · 2^32 (on 64-bit) wraps to 0 in a `usize` product, which an
+        // empty buffer would match.
+        let half = 1usize << (usize::BITS / 2);
+        let err = DenseMatrix::from_vec(half, half, vec![]);
+        assert!(matches!(err, Err(MatrixError::InvalidStructure(_))));
+        assert!(DenseMatrix::from_vec(usize::MAX, 2, vec![]).is_err());
     }
 
     #[test]

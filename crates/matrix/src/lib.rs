@@ -66,6 +66,7 @@
 //! ```
 
 #![deny(missing_docs)]
+#![deny(unsafe_op_in_unsafe_fn, clippy::undocumented_unsafe_blocks)]
 #![warn(missing_debug_implementations)]
 
 pub mod coo;

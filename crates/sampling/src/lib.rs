@@ -81,6 +81,7 @@
 //! ```
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 #![warn(missing_debug_implementations)]
 
 pub mod backend;

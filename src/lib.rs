@@ -73,6 +73,7 @@
 //! trains data-parallel over simulated ranks.
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub use dmbs_comm as comm;
 pub use dmbs_gnn as gnn;
